@@ -607,6 +607,14 @@ mod tests {
             assert_eq!(a.io, b.io);
             assert_eq!(a.fingerprints, b.fingerprints);
         }
+        // Jobs invariance cannot see a drift both worker counts share, so
+        // the smoke transcript is also pinned by value.
+        let smoke = run_fleet(&FleetBenchConfig::smoke(2));
+        assert_eq!(
+            fnv1a64(&smoke.transcript),
+            0x1db5_4563_fe6d_ee9d,
+            "the fleet smoke transcript fingerprint moved — if intentional, repin"
+        );
     }
 
     #[test]

@@ -20,6 +20,14 @@
 //! tile. The union of per-shard answers is therefore **exactly** the
 //! unsharded answer; cross-shard halo duplicates are suppressed by the
 //! per-session sent-filter, which replays shard answers in shard order.
+//!
+//! # Sessions
+//!
+//! A [`FleetServer`] is the crate's one session layer,
+//! [`crate::server::Server`], over a [`ShardSet`] backend: the same
+//! stripes, sent-filters, resume tokens and snapshots an unsharded server
+//! has. The filter lives above the shards, so failover between primary,
+//! replica and neighbours is invisible to dedup accounting.
 //! The halo is also what makes *degraded* service real: a dead tile's
 //! boundary coefficients genuinely exist on its neighbours.
 //!
@@ -44,18 +52,14 @@
 //! Recovery is re-admission by value: the next tick whose health mask has
 //! the bit clear routes to the primary again — nothing to rebuild,
 //! because shard state is immutable and session filters live in the
-//! fleet, not the shard.
+//! session layer, not the shard.
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
-use crate::server::{QueryResult, ServerCore, SESSION_STRIPES};
+use crate::server::{QueryResult, Server, ServerCore, SessionBackend, SessionError};
 use mar_geom::{BlockId, GridSpec, Point2, Rect2};
 use mar_mesh::ResolutionBand;
-// mar-lint: allow(D001) — `HashSet` here backs the membership-only fleet
-// session filters below; their iteration order is never observed.
-use std::collections::{BTreeMap, HashSet};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 /// Typed failure of the fleet tier.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -68,8 +72,6 @@ pub enum FleetError {
         /// Requested shard rows.
         ny: u32,
     },
-    /// The session id is not (or no longer) connected to the fleet.
-    UnknownSession(u64),
     /// Building a paged shard backend failed (store I/O).
     Store(String),
 }
@@ -80,7 +82,6 @@ impl std::fmt::Display for FleetError {
             Self::BadShardGrid { nx, ny } => {
                 write!(f, "shard grid {nx}x{ny} must have 1..=64 shards")
             }
-            Self::UnknownSession(id) => write!(f, "unknown or disconnected fleet session {id}"),
             Self::Store(e) => write!(f, "shard store backend: {e}"),
         }
     }
@@ -389,24 +390,6 @@ struct Shard {
     coeffs: usize,
 }
 
-#[derive(Debug, Default)]
-struct FleetSession {
-    // Membership-only sets (same discipline as `server::Session`): tested
-    // per hit, never iterated — this one filter is shared by primary,
-    // replica and neighbour answers, which is exactly why failover never
-    // re-sends and why cross-shard halo duplicates collapse.
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent: HashSet<CoeffRef>,
-    // mar-lint: allow(D001) — membership-only; iteration order never observed
-    sent_base: HashSet<u32>,
-}
-
-impl FleetSession {
-    fn filter_entries(&self) -> usize {
-        self.sent.len() + self.sent_base.len()
-    }
-}
-
 /// What one fleet window query produced, beyond the payload accounting.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetQueryResult {
@@ -427,26 +410,33 @@ pub struct FleetQueryResult {
     pub complete: bool,
 }
 
-/// The sharded serving tier: shard cores + the fleet's own striped
-/// session layer. All entry points take `&self` (DESIGN.md §10); the
-/// per-session filter lives here — above the shards — so failover between
-/// primary, replica and neighbours is invisible to dedup accounting.
+/// The shard set a [`FleetServer`] serves from: the shard map, every
+/// shard's cores, and the failover configuration the router reads.
 #[derive(Debug)]
-pub struct FleetServer {
+pub struct ShardSet {
     map: ShardMap,
     shards: Vec<Shard>,
     has_core: Vec<bool>,
     has_replica: Vec<bool>,
     degrade_step: f64,
-    /// Fleet session filters, striped like `Server`'s sessions. The field
-    /// name is load-bearing for the D006 lock-order graph: `fleet_stripes`
-    /// sits between the bench sims and the pager leaf (DESIGN.md §13.1)
-    /// and must never be confused with `Server::stripes`.
-    fleet_stripes: [Mutex<BTreeMap<u64, FleetSession>>; SESSION_STRIPES],
-    next_session: AtomicU64,
 }
 
-impl FleetServer {
+impl SessionBackend for ShardSet {
+    /// A departed session stops warming every shard pager. Replicas alias
+    /// their primary's index, so the primaries cover every pool.
+    fn forget_motion(&self, session: u64) {
+        for core in self.shards.iter().filter_map(|s| s.core.as_ref()) {
+            core.index().forget_motion(session);
+        }
+    }
+}
+
+/// The sharded serving tier: the session layer over a [`ShardSet`]. All
+/// entry points take `&self` (DESIGN.md §10); connect, disconnect, resume
+/// tokens and filter snapshots are [`Server`]'s.
+pub type FleetServer = Server<ShardSet>;
+
+impl Server<ShardSet> {
     /// Builds the fleet over shared scene data: every shard gets the
     /// coefficients whose supports intersect its inflated tile (halo
     /// replication), its own [`WaveletIndex`], and — when configured — a
@@ -512,81 +502,44 @@ impl FleetServer {
         }
         let has_core = shards.iter().map(|s| s.core.is_some()).collect();
         let has_replica = shards.iter().map(|s| s.replica.is_some()).collect();
-        Ok(Self {
+        Ok(Self::with_backend(ShardSet {
             map,
             shards,
             has_core,
             has_replica,
             degrade_step: cfg.degrade_step,
-            fleet_stripes: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
-            next_session: AtomicU64::new(0),
-        })
+        }))
     }
 
     /// The shard map.
     pub fn map(&self) -> &ShardMap {
-        &self.map
+        &self.backend().map
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> u32 {
-        self.map.shard_count()
+        self.map().shard_count()
     }
 
     /// Coefficients resident on shard `s` (halo included).
     pub fn shard_coeffs(&self, s: u32) -> usize {
-        self.shards[s as usize].coeffs
+        self.backend().shards[s as usize].coeffs
     }
 
     /// True when shard `s` has a promotable replica.
     pub fn has_replica(&self, s: u32) -> bool {
-        self.has_replica[s as usize]
+        self.backend().has_replica[s as usize]
     }
 
     /// The stateless router over this fleet's topology.
     pub fn router(&self) -> Router<'_> {
+        let set = self.backend();
         Router {
-            map: &self.map,
-            has_core: &self.has_core,
-            has_replica: &self.has_replica,
-            degrade_step: self.degrade_step,
+            map: &set.map,
+            has_core: &set.has_core,
+            has_replica: &set.has_replica,
+            degrade_step: set.degrade_step,
         }
-    }
-
-    fn stripe(&self, session: u64) -> &Mutex<BTreeMap<u64, FleetSession>> {
-        &self.fleet_stripes[(session % SESSION_STRIPES as u64) as usize]
-    }
-
-    /// Opens a fleet session (ids are handed out in call order).
-    pub fn connect(&self) -> u64 {
-        let id = self.next_session.fetch_add(1, Ordering::Relaxed);
-        self.stripe(id)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("fleet stripe poisoned")
-            .insert(id, FleetSession::default());
-        id
-    }
-
-    /// Drops a fleet session, releasing its filter state and its heat
-    /// contribution on every shard pager.
-    pub fn disconnect(&self, session: u64) -> Result<(), FleetError> {
-        {
-            let mut stripe = self
-                .stripe(session)
-                .lock()
-                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                .expect("fleet stripe poisoned");
-            stripe
-                .remove(&session)
-                .ok_or(FleetError::UnknownSession(session))?;
-        }
-        for shard in &self.shards {
-            if let Some(core) = &shard.core {
-                core.index().forget_motion(session);
-            }
-        }
-        Ok(())
     }
 
     /// Executes one window query for a session under the given health
@@ -595,58 +548,50 @@ impl FleetServer {
     /// task list is (owner, neighbour)-ordered and the filter replay is
     /// sequential — concurrency lives *across* sessions, exactly as in
     /// the unsharded server.
+    ///
+    /// The session's stripe is held across the gather (one acquisition
+    /// per query), so each task's descent, filter replay and payload
+    /// touches on the core that answered stay interleaved exactly in task
+    /// order. An unknown or disconnected session is a typed
+    /// [`SessionError`] and touches no shard.
     pub fn query(
         &self,
         session: u64,
         health: FleetHealth,
         window: &Rect2,
         band: ResolutionBand,
-    ) -> Result<FleetQueryResult, FleetError> {
+    ) -> Result<FleetQueryResult, SessionError> {
         let plan = self.router().plan(health, window, band);
-        let mut stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("fleet stripe poisoned");
-        let sess = stripe
-            .get_mut(&session)
-            .ok_or(FleetError::UnknownSession(session))?;
-        let mut result = QueryResult::default();
+        let shards = &self.backend().shards;
         let mut replica_promotions = 0u32;
-        for task in &plan.tasks {
-            let Some(shard) = self.shards.get(task.shard as usize) else {
-                continue;
-            };
-            let core = match task.role {
-                ShardRole::Replica => shard.replica.as_ref(),
-                ShardRole::Primary | ShardRole::NeighborDegraded => shard.core.as_ref(),
-            };
-            let Some(core) = core else {
-                // An empty tile serves every query vacuously.
+        let mut hits: Vec<CoeffRef> = Vec::new();
+        let result = self.with_session(session, |sess| {
+            let mut result = QueryResult::default();
+            for task in &plan.tasks {
+                let Some(shard) = shards.get(task.shard as usize) else {
+                    continue;
+                };
                 if task.role == ShardRole::Replica {
                     replica_promotions += 1;
                 }
-                continue;
-            };
-            if task.role == ShardRole::Replica {
-                replica_promotions += 1;
+                let core = match task.role {
+                    ShardRole::Replica => shard.replica.as_ref(),
+                    ShardRole::Primary | ShardRole::NeighborDegraded => shard.core.as_ref(),
+                };
+                // An empty tile serves every query vacuously.
+                let Some(core) = core else {
+                    continue;
+                };
+                // Feed the shard pager's heat field (no-op in RAM).
+                core.index().observe_motion(session, task.window.center());
+                hits.clear();
+                result.io += core
+                    .index()
+                    .for_each(&task.window, task.band, |id| hits.push(id));
+                sess.apply_hits(core, &hits, &mut result);
             }
-            // Feed the shard pager's heat field (no-op in RAM).
-            core.index().observe_motion(session, task.window.center());
-            let (hits, io) = core.query_stateless(&task.window, task.band);
-            result.io += io;
-            for id in hits {
-                if sess.sent.insert(id) {
-                    core.index().touch_payload(id);
-                    result.coeffs += 1;
-                    result.bytes += core.data().coeff_bytes;
-                    if sess.sent_base.insert(id.object) {
-                        result.new_objects += 1;
-                        result.bytes += core.data().base_bytes[id.object as usize];
-                    }
-                }
-            }
-        }
+            result
+        })?;
         Ok(FleetQueryResult {
             result,
             tasks: plan.tasks.len() as u32,
@@ -664,8 +609,8 @@ impl FleetServer {
     pub fn query_stateless(&self, window: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
         let mut ids: Vec<CoeffRef> = Vec::new();
         let mut io = 0u64;
-        for (shard, sub) in self.map.route(window) {
-            if let Some(core) = &self.shards[shard as usize].core {
+        for (shard, sub) in self.map().route(window) {
+            if let Some(core) = &self.backend().shards[shard as usize].core {
                 let (hits, i) = core.query_stateless(&sub, band);
                 ids.extend(hits);
                 io += i;
@@ -674,47 +619,6 @@ impl FleetServer {
         ids.sort_unstable();
         ids.dedup();
         (ids, io)
-    }
-
-    /// A sorted snapshot of every coefficient the fleet session has been
-    /// sent (the chaos/fleet fingerprint object).
-    pub fn session_sent_set(&self, session: u64) -> Result<Vec<CoeffRef>, FleetError> {
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("fleet stripe poisoned");
-        let sess = stripe
-            .get(&session)
-            .ok_or(FleetError::UnknownSession(session))?;
-        let mut refs: Vec<CoeffRef> = sess.sent.iter().copied().collect();
-        refs.sort_unstable();
-        Ok(refs)
-    }
-
-    /// Number of connected fleet sessions.
-    pub fn session_count(&self) -> usize {
-        self.fleet_stripes
-            .iter()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .map(|s| s.lock().expect("fleet stripe poisoned").len())
-            .sum()
-    }
-
-    /// Total resident filter entries across connected sessions — must
-    /// return to zero at teardown.
-    pub fn resident_filter_entries(&self) -> usize {
-        self.fleet_stripes
-            .iter()
-            .map(|s| {
-                s.lock()
-                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                    .expect("fleet stripe poisoned")
-                    .values()
-                    .map(FleetSession::filter_entries)
-                    .sum::<usize>()
-            })
-            .sum()
     }
 }
 
@@ -946,12 +850,12 @@ mod tests {
         assert_eq!(
             f.query(99, FleetHealth::all_up(), &q, ResolutionBand::FULL)
                 .err(),
-            Some(FleetError::UnknownSession(99))
+            Some(SessionError::UnknownSession(99))
         );
-        assert_eq!(f.disconnect(99), Err(FleetError::UnknownSession(99)));
+        assert_eq!(f.disconnect(99), Err(SessionError::UnknownSession(99)));
         assert_eq!(
             f.session_sent_set(99).err(),
-            Some(FleetError::UnknownSession(99))
+            Some(SessionError::UnknownSession(99))
         );
         assert_eq!(f.session_count(), 0);
     }

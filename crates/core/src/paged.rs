@@ -2,16 +2,13 @@
 //! read through a motion-aware buffer pool (DESIGN.md §15).
 //!
 //! [`PagedIndex`] answers exactly the queries the in-RAM
-//! [`crate::index::WaveletIndex`] answers, with byte-identical results:
-//! the scalar descent mirrors [`mar_rtree::RTree::search`] (per-entry
-//! closed-interval tests, children pushed in ascending entry order, LIFO
-//! pops) and the grouped descent mirrors
-//! [`mar_rtree::RTree::search_batch`] loop for loop — same `(node,
-//! window-bitmask)` stack, same per-set-bit logical attribution, same
-//! 64-wide child-mask transpose. Hit sets, visit order and access counts
-//! cannot drift from the RAM path because the algorithms are the same;
-//! only the node fetch differs (a [`PageCache`] read instead of an arena
-//! index).
+//! [`crate::index::WaveletIndex`] answers, with byte-identical results,
+//! because it runs the very same descent kernels: it implements
+//! [`mar_rtree::TreeView`] over decoded [`NodePage`]s, so the scalar
+//! search, the `(node, window-bitmask)` group descent and the counting
+//! walk are the ones the arena runs. Hit sets, visit order and access
+//! counts cannot drift from the RAM path; only the node fetch differs (a
+//! [`PageCache`] read instead of an arena index).
 //!
 //! I/O accounting extends the paper's metric with one new axis: logical
 //! and unique node accesses tally exactly as in RAM, and every pool
@@ -29,8 +26,8 @@
 use crate::coeff::CoeffRef;
 use crate::store::{decode_record, open_store, StoreMeta, StoredRecord, RECORD_SIZE, REF_SIZE};
 use mar_buffer::MotionHeat;
-use mar_geom::{Point2, Rect3};
-use mar_rtree::{BatchAccesses, IoCounters, IoKind, IoSnapshot, NodePage, PagedNodeKind};
+use mar_geom::Point2;
+use mar_rtree::{IoCounters, IoKind, IoSnapshot, NodePage, TreeView};
 use mar_store::{CachePolicy, PageCache, PageCacheStats, StoreError};
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -182,148 +179,6 @@ impl PagedIndex {
         data
     }
 
-    fn decode_ref(b: &[u8]) -> CoeffRef {
-        CoeffRef {
-            object: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
-            coeff: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
-        }
-    }
-
-    /// Scalar window search, mirroring [`mar_rtree::RTree::search`]:
-    /// identical visit order and access count. Returns the node accesses.
-    pub fn for_each(&self, window: &Rect3, mut visit: impl FnMut(CoeffRef)) -> u64 {
-        let mut stack = vec![0u32];
-        let mut accesses = 0u64;
-        while let Some(id) = stack.pop() {
-            accesses += 1;
-            let bytes = self.page(id);
-            let node = NodePage::<3>::parse(&bytes, REF_SIZE)
-                // mar-lint: allow(D004) — the store was validated at open; a malformed node image is unrecoverable corruption
-                .expect("malformed node page");
-            match node.kind() {
-                PagedNodeKind::Leaf => {
-                    for i in 0..node.len() {
-                        if node.rect(i).intersects(window) {
-                            visit(Self::decode_ref(node.item_bytes(i)));
-                        }
-                    }
-                }
-                PagedNodeKind::Internal => {
-                    for i in 0..node.len() {
-                        if node.rect(i).intersects(window) {
-                            stack.push(node.child(i));
-                        }
-                    }
-                }
-            }
-        }
-        self.io.add(IoKind::Logical, accesses);
-        self.io.add(IoKind::Unique, accesses);
-        accesses
-    }
-
-    /// Grouped multi-window search, mirroring
-    /// [`mar_rtree::RTree::search_batch`]: per-window hit sets, visit
-    /// order and logical accesses equal the scalar path; nodes shared by
-    /// several windows of a 64-wide group are fetched once.
-    pub fn for_each_batch(
-        &self,
-        windows: &[Rect3],
-        mut visit: impl FnMut(usize, CoeffRef),
-    ) -> BatchAccesses {
-        let mut per_window = vec![0u64; windows.len()];
-        let mut unique = 0u64;
-        for (chunk_idx, chunk) in windows.chunks(64).enumerate() {
-            unique += self.search_group(chunk, chunk_idx * 64, &mut per_window, &mut visit);
-        }
-        let total: u64 = per_window.iter().sum();
-        self.io.add(IoKind::Logical, total);
-        self.io.add(IoKind::Unique, unique);
-        BatchAccesses { per_window, unique }
-    }
-
-    /// One ≤64-window group descent; returns the physical node visits.
-    fn search_group(
-        &self,
-        windows: &[Rect3],
-        base: usize,
-        per_window: &mut [u64],
-        visit: &mut impl FnMut(usize, CoeffRef),
-    ) -> u64 {
-        if windows.is_empty() {
-            return 0;
-        }
-        let all = if windows.len() == 64 {
-            u64::MAX
-        } else {
-            (1u64 << windows.len()) - 1
-        };
-        let mut stack: Vec<(u32, u64)> = vec![(0, all)];
-        let mut unique = 0u64;
-        while let Some((id, group)) = stack.pop() {
-            unique += 1;
-            let mut g = group;
-            while g != 0 {
-                let w = g.trailing_zeros() as usize;
-                g &= g - 1;
-                per_window[base + w] += 1;
-            }
-            let bytes = self.page(id);
-            let node = NodePage::<3>::parse(&bytes, REF_SIZE)
-                // mar-lint: allow(D004) — the store was validated at open; a malformed node image is unrecoverable corruption
-                .expect("malformed node page");
-            match node.kind() {
-                PagedNodeKind::Leaf => {
-                    let mut g = group;
-                    while g != 0 {
-                        let w = g.trailing_zeros() as usize;
-                        g &= g - 1;
-                        let window = &windows[w];
-                        for i in 0..node.len() {
-                            if node.rect(i).intersects(window) {
-                                visit(base + w, Self::decode_ref(node.item_bytes(i)));
-                            }
-                        }
-                    }
-                }
-                PagedNodeKind::Internal => {
-                    let mut start = 0;
-                    while start < node.len() {
-                        let n = (node.len() - start).min(64);
-                        let mut child_masks = [0u64; 64];
-                        let mut g = group;
-                        while g != 0 {
-                            let w = g.trailing_zeros() as usize;
-                            g &= g - 1;
-                            let window = &windows[w];
-                            for (j, cm) in child_masks[..n].iter_mut().enumerate() {
-                                if node.rect(start + j).intersects(window) {
-                                    *cm |= 1u64 << w;
-                                }
-                            }
-                        }
-                        for (j, &cm) in child_masks[..n].iter().enumerate() {
-                            if cm != 0 {
-                                stack.push((node.child(start + j), cm));
-                            }
-                        }
-                        start += n;
-                    }
-                }
-            }
-        }
-        unique
-    }
-
-    /// Counts items intersecting `window`. Totals (count and accesses)
-    /// equal [`mar_rtree::RTree::count_in`]'s, which itself matches the
-    /// scalar search.
-    pub fn count_in(&self, window: &Rect3) -> (usize, u64) {
-        let mut hits = 0usize;
-        let io = self.for_each(window, |_| hits += 1);
-        (hits, io)
-    }
-
     /// Touches the payload page holding `id`'s coefficient record — the
     /// disk trip a transmission performs. Counts a physical access on a
     /// pool miss; unknown ids are ignored.
@@ -358,13 +213,44 @@ impl PagedIndex {
     }
 }
 
+/// The paged tree: node ids are page ids (the root is page 0), and every
+/// node access is a fetch through the pool.
+impl TreeView<3> for PagedIndex {
+    type Item = CoeffRef;
+    type Node<'n> = NodePage<'n, 3>;
+
+    fn root(&self) -> u32 {
+        0
+    }
+
+    fn with_node<R>(&self, id: u32, f: impl FnOnce(&NodePage<'_, 3>) -> R) -> R {
+        let bytes = self.page(id);
+        let node = NodePage::parse(&bytes, REF_SIZE)
+            // mar-lint: allow(D004) — the store was validated at open; a malformed node image is unrecoverable corruption
+            .expect("malformed node page");
+        f(&node)
+    }
+
+    fn item(&self, node: &NodePage<'_, 3>, i: usize) -> CoeffRef {
+        let b = node.item_bytes(i);
+        CoeffRef {
+            object: u32::from_le_bytes([b[0], b[1], b[2], b[3]]),
+            coeff: u32::from_le_bytes([b[4], b[5], b[6], b[7]]),
+        }
+    }
+
+    fn io(&self) -> &IoCounters {
+        &self.io
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::coeff::SceneIndexData;
     use crate::index::WaveletIndex;
     use crate::store::write_store;
-    use mar_geom::{Point2, Rect2};
+    use mar_geom::{Point2, Rect2, Rect3};
     use mar_mesh::ResolutionBand;
     use mar_workload::{Scene, SceneConfig};
     use std::path::PathBuf;
@@ -434,7 +320,7 @@ mod tests {
                 .expect("ram")
                 .search(w, |_, id| ram_hits.push(*id));
             let mut paged_hits = Vec::new();
-            let paged_io = paged.for_each(w, |id| paged_hits.push(id));
+            let paged_io = paged.search(w, |_, id| paged_hits.push(id));
             // Order-sensitive equality: the descent is the same algorithm.
             assert_eq!(paged_hits, ram_hits, "window {k} hit order");
             assert_eq!(paged_io, ram_io, "window {k} accesses");
@@ -458,7 +344,7 @@ mod tests {
             .expect("ram")
             .search_batch(&ws, |q, _, id| ram_hits[q].push(*id));
         let mut paged_hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); ws.len()];
-        let paged_acc = paged.for_each_batch(&ws, |q, id| paged_hits[q].push(id));
+        let paged_acc = paged.search_batch(&ws, |q, _, id| paged_hits[q].push(id));
         assert_eq!(paged_hits, ram_hits, "per-window hit order");
         assert_eq!(paged_acc, ram_acc, "per-window logical + unique accesses");
     }

@@ -502,7 +502,8 @@ mod tests {
         // scene to show the fresh session really refetches from scratch.
         let world = Rect2::new(Point2::new([0.0, 0.0]), Point2::new([1000.0, 1000.0]));
         res.finish(&srv, world, 0.0).expect("finish terminates");
-        assert!(srv.session_sent(res.session()) > 0, "refetched after reset");
+        let refetched = srv.session_sent_set(res.session()).expect("live session");
+        assert!(!refetched.is_empty(), "refetched after reset");
     }
 
     #[test]

@@ -28,6 +28,15 @@
 //! Determinism is preserved because a session's filter state depends only
 //! on that session's own query history (pinned by
 //! `crates/core/tests/server_concurrent.rs`).
+//!
+//! # One session layer, two backends
+//!
+//! [`Server<B>`] is the session layer — stripes, sent-filters, resume
+//! tokens, snapshots — over a [`SessionBackend`] that answers the queries.
+//! `Server` (that is, `Server<ServerCore>`) serves one core; the sharded
+//! [`crate::fleet::FleetServer`] is the same layer over a shard set, so
+//! both get identical connect/disconnect/resume semantics and every
+//! transmitted coefficient goes through the one `Session::apply_hits`.
 
 use crate::coeff::{CoeffRef, SceneIndexData};
 use crate::index::WaveletIndex;
@@ -176,8 +185,10 @@ pub struct QueryResult {
     pub io: u64,
 }
 
+/// One client's server-side state: what it already holds, and its
+/// resume capability.
 #[derive(Debug, Default)]
-struct Session {
+pub(crate) struct Session {
     // Membership-only sets on the per-query hot path: every coefficient hit
     // is tested against them, they are never iterated, so O(1) hashing is
     // safe and worthwhile here.
@@ -196,35 +207,44 @@ impl Session {
     fn filter_entries(&self) -> usize {
         self.sent.len() + self.sent_base.len()
     }
-}
 
-/// Replays one window's hit list (in index search order) through a
-/// session's sent-filter, accumulating the transmission accounting. Both
-/// query paths route here so a batched and a scalar execution of the same
-/// sub-queries produce bit-identical [`QueryResult`]s.
-///
-/// Every *newly transmitted* coefficient touches its payload page through
-/// the index — a no-op in RAM, a buffer-pool read (and physical-I/O tally
-/// on a miss) on the disk-backed backend. The touch never changes the
-/// result, so RAM and paged transcripts stay byte-identical.
-fn apply_hits(
-    sess: &mut Session,
-    data: &SceneIndexData,
-    index: &WaveletIndex,
-    hits: &[CoeffRef],
-    out: &mut QueryResult,
-) {
-    for &id in hits {
-        if sess.sent.insert(id) {
-            index.touch_payload(id);
-            out.coeffs += 1;
-            out.bytes += data.coeff_bytes;
-            if sess.sent_base.insert(id.object) {
-                out.new_objects += 1;
-                out.bytes += data.base_bytes[id.object as usize];
+    /// Replays one window's hit list (in index search order) through the
+    /// sent-filter, accumulating the transmission accounting. Every query
+    /// path routes here — batched, scalar and sharded — so they produce
+    /// bit-identical [`QueryResult`]s for the same hit stream.
+    ///
+    /// Every *newly transmitted* coefficient touches its payload page
+    /// through `core`'s index (the core that answered) — a no-op in RAM, a
+    /// buffer-pool read (and physical-I/O tally on a miss) on the
+    /// disk-backed backend. The touch never changes the result, so RAM and
+    /// paged transcripts stay byte-identical.
+    pub(crate) fn apply_hits(
+        &mut self,
+        core: &ServerCore,
+        hits: &[CoeffRef],
+        out: &mut QueryResult,
+    ) {
+        let data = core.data();
+        for &id in hits {
+            if self.sent.insert(id) {
+                core.index().touch_payload(id);
+                out.coeffs += 1;
+                out.bytes += data.coeff_bytes;
+                if self.sent_base.insert(id.object) {
+                    out.new_objects += 1;
+                    out.bytes += data.base_bytes[id.object as usize];
+                }
             }
         }
     }
+}
+
+/// What the session layer needs from whatever answers its queries: a way
+/// to drop a departed session's per-session backend state.
+pub trait SessionBackend {
+    /// Drops `session`'s heat contribution on every buffer pool the
+    /// backend reads through (no-op in RAM).
+    fn forget_motion(&self, session: u64);
 }
 
 /// The shared immutable half of the server: scene-derived index data plus
@@ -305,12 +325,18 @@ impl ServerCore {
     }
 }
 
-/// The server: a shared [`ServerCore`] plus striped per-session state.
-/// All entry points take `&self`; a `&Server` is safe to share across
-/// client threads.
+impl SessionBackend for ServerCore {
+    fn forget_motion(&self, session: u64) {
+        self.index.forget_motion(session);
+    }
+}
+
+/// The session layer: a backend (by default one shared [`ServerCore`])
+/// plus striped per-session state. All entry points take `&self`; a
+/// `&Server` is safe to share across client threads.
 #[derive(Debug)]
-pub struct Server {
-    core: ServerCore,
+pub struct Server<B = ServerCore> {
+    backend: B,
     stripes: [Mutex<BTreeMap<u64, Session>>; SESSION_STRIPES],
     next_session: AtomicU64,
     /// 128-bit SipHash key minting resume tokens. Never derivable from
@@ -338,7 +364,7 @@ impl Server {
     /// instance mints its own unpredictable token stream — there is no
     /// public default a wire peer could use to mint tokens offline.
     pub fn from_core(core: ServerCore) -> Self {
-        Self::with_key(core, (entropy_word(1), entropy_word(2)))
+        Self::with_backend(core)
     }
 
     /// Builds the session layer over an existing shared core with a
@@ -354,9 +380,174 @@ impl Server {
         Self::with_key(core, (k0, k1))
     }
 
-    fn with_key(core: ServerCore, token_key: (u64, u64)) -> Self {
+    /// The shared immutable core.
+    pub fn core(&self) -> &ServerCore {
+        &self.backend
+    }
+
+    /// The scene-derived index data.
+    pub fn data(&self) -> &SceneIndexData {
+        self.backend.data()
+    }
+
+    /// The wavelet index.
+    pub fn index(&self) -> &WaveletIndex {
+        self.backend.index()
+    }
+
+    /// Executes a batch of sub-queries for a session, filtering out data
+    /// the client already holds, and returns the transmission accounting.
+    ///
+    /// The session's sub-queries run as one grouped index descent
+    /// ([`WaveletIndex::for_each_batch`]): tree nodes shared by several
+    /// sub-query windows are read once physically, while `io` still
+    /// reports the per-sub-query *logical* accesses — exactly what the
+    /// one-window-at-a-time walk would have counted. The per-window hit
+    /// lists are replayed through the session filter in sub-query order,
+    /// so the accounting (including the floating-point byte total) is
+    /// bit-identical to the scalar path.
+    ///
+    /// This is [`Server::query_batch`] of one session, so a scalar and a
+    /// batched execution share one descent and one filter replay. The
+    /// stripe lock is taken twice — admission, then the filter replay —
+    /// and never held across the lock-free index walk.
+    ///
+    /// An unknown or disconnected session id is a typed
+    /// [`SessionError`] — the server never mints filter state for a
+    /// session it did not hand out.
+    pub fn query(
+        &self,
+        session: u64,
+        regions: &[QueryRegion],
+    ) -> Result<QueryResult, SessionError> {
+        let (mut results, _) = self.query_batch(&[(session, regions)]);
+        results
+            .pop()
+            .unwrap_or(Err(SessionError::UnknownSession(session)))
+    }
+
+    /// Executes every session's sub-queries as **one** cross-session group
+    /// descent: the windows of all sessions in `batch` descend the index
+    /// together, so a tree node needed by several sessions is read once
+    /// physically. Returns the per-session results in caller order plus
+    /// the number of unique physical node visits the merged descent
+    /// performed (the shared-visit metric).
+    ///
+    /// Each per-session [`QueryResult`] — coefficients, bytes, *and* its
+    /// logical `io` count — is bit-identical to what a separate
+    /// [`Server::query`] call would have produced: per-window visit order
+    /// equals the scalar search order, windows replay through the session
+    /// filter in sub-query order, and logical accesses are counted per
+    /// window regardless of physical sharing.
+    ///
+    /// Locking: session stripes are taken one at a time (existence check
+    /// up front, filter application afterwards), never nested with each
+    /// other or held across the index descent. A session that disconnects
+    /// between the two lock windows surfaces as
+    /// [`SessionError::UnknownSession`], the same answer a scalar call in
+    /// that race would give.
+    pub fn query_batch(
+        &self,
+        batch: &[(u64, &[QueryRegion])],
+    ) -> (Vec<Result<QueryResult, SessionError>>, u64) {
+        // Admission: one stripe lock at a time, released before the walk.
+        let known: Vec<bool> = batch
+            .iter()
+            .map(|&(session, _)| self.is_connected(session))
+            .collect();
+        // Feed each admitted session's window centre into the pool's heat
+        // field before the descent reads any pages (no locks held here):
+        // the session's predicted motion (Eq. 2) is its first sub-query
+        // window's centre this tick. No-op on the in-RAM backend.
+        let index = self.backend.index();
+        for (s, &(session, regions)) in batch.iter().enumerate() {
+            if known[s] {
+                if let Some(q) = regions.first() {
+                    index.observe_motion(session, q.region.center());
+                }
+            }
+        }
+        // One lock-free grouped descent over every admitted session's
+        // windows; `ranges[s]` is session slot s's window span.
+        let mut queries: Vec<(Rect2, ResolutionBand)> = Vec::new();
+        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(batch.len());
+        for (s, &(_, regions)) in batch.iter().enumerate() {
+            let start = queries.len();
+            if known[s] {
+                queries.extend(regions.iter().map(|q| (q.region, q.band)));
+            }
+            ranges.push((start, queries.len()));
+        }
+        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
+        let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
+        // Demultiplex: apply each session's filter in caller order. A
+        // session that disconnected between admission and apply is
+        // unknown by now.
+        let out = batch
+            .iter()
+            .enumerate()
+            .map(|(s, &(session, _))| {
+                if !known[s] {
+                    return Err(SessionError::UnknownSession(session));
+                }
+                let (start, end) = ranges[s];
+                self.with_session(session, |sess| {
+                    let mut result = QueryResult::default();
+                    for (h, &io) in hits[start..end]
+                        .iter()
+                        .zip(&accesses.per_window[start..end])
+                    {
+                        sess.apply_hits(&self.backend, h, &mut result);
+                        result.io += io;
+                    }
+                    result
+                })
+            })
+            .collect();
+        (out, accesses.unique)
+    }
+
+    /// A stateless query (no session filtering): the raw index answer.
+    pub fn query_stateless(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
+        self.backend.query_stateless(region, band)
+    }
+
+    /// Payload bytes of one block-granularity fetch: every coefficient
+    /// whose support intersects `block` within `band`, plus base meshes
+    /// the session has not yet received. Used by the buffered clients.
+    /// Unknown sessions surface as a typed [`SessionError`], like
+    /// [`Server::query`].
+    pub fn fetch_block(
+        &self,
+        session: u64,
+        block: &Rect2,
+        band: ResolutionBand,
+    ) -> Result<QueryResult, SessionError> {
+        self.query(
+            session,
+            &[QueryRegion {
+                region: *block,
+                band,
+            }],
+        )
+    }
+
+    /// Stateless byte size of a block at a band (planning/estimation).
+    pub fn block_bytes_stateless(&self, block: &Rect2, band: ResolutionBand) -> (f64, u64) {
+        self.backend.block_bytes_stateless(block, band)
+    }
+}
+
+impl<B: SessionBackend> Server<B> {
+    /// The session layer over `backend`, with a resume-token key drawn
+    /// from per-process entropy (see [`Server::from_core`]).
+    pub(crate) fn with_backend(backend: B) -> Self {
+        Self::with_key(backend, (entropy_word(1), entropy_word(2)))
+    }
+
+    fn with_key(backend: B, token_key: (u64, u64)) -> Self {
         Self {
-            core,
+            backend,
             stripes: std::array::from_fn(|_| Mutex::new(BTreeMap::new())),
             next_session: AtomicU64::new(0),
             token_key,
@@ -365,19 +556,9 @@ impl Server {
         }
     }
 
-    /// The shared immutable core.
-    pub fn core(&self) -> &ServerCore {
-        &self.core
-    }
-
-    /// The scene-derived index data.
-    pub fn data(&self) -> &SceneIndexData {
-        self.core.data()
-    }
-
-    /// The wavelet index.
-    pub fn index(&self) -> &WaveletIndex {
-        self.core.index()
+    /// The backend answering this layer's queries.
+    pub(crate) fn backend(&self) -> &B {
+        &self.backend
     }
 
     /// The stripe holding `session`'s filter state.
@@ -450,7 +631,7 @@ impl Server {
         drop(tokens);
         // And its heat contribution: a gone client must not keep pages
         // warm (no-op on the in-RAM backend).
-        self.core.index().forget_motion(session);
+        self.backend.forget_motion(session);
         Ok(())
     }
 
@@ -514,29 +695,23 @@ impl Server {
             .ok_or(SessionError::UnknownToken(token))
     }
 
-    /// Executes a batch of sub-queries for a session, filtering out data
-    /// the client already holds, and returns the transmission accounting.
-    ///
-    /// The session's sub-queries run as one grouped index descent
-    /// ([`WaveletIndex::for_each_batch`]): tree nodes shared by several
-    /// sub-query windows are read once physically, while `io` still
-    /// reports the per-sub-query *logical* accesses — exactly what the
-    /// one-window-at-a-time walk would have counted. The per-window hit
-    /// lists are replayed through the session filter in sub-query order,
-    /// so the accounting (including the floating-point byte total) is
-    /// bit-identical to the scalar path.
-    ///
-    /// Holds only the session's stripe lock: the index walk itself is a
-    /// lock-free `&self` read of the shared core.
-    ///
-    /// An unknown or disconnected session id is a typed
-    /// [`SessionError`] — the server never mints filter state for a
-    /// session it did not hand out.
-    pub fn query(
+    /// True while `session` is connected (one stripe lock).
+    pub(crate) fn is_connected(&self, session: u64) -> bool {
+        self.stripe(session)
+            .lock()
+            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
+            .expect("session stripe poisoned")
+            .contains_key(&session)
+    }
+
+    /// Runs `f` on `session`'s state under its stripe lock — the one
+    /// place a query replays hits through a session filter. An unknown or
+    /// disconnected id is a typed [`SessionError`] and `f` does not run.
+    pub(crate) fn with_session<R>(
         &self,
         session: u64,
-        regions: &[QueryRegion],
-    ) -> Result<QueryResult, SessionError> {
+        f: impl FnOnce(&mut Session) -> R,
+    ) -> Result<R, SessionError> {
         let mut stripe = self
             .stripe(session)
             .lock()
@@ -545,148 +720,7 @@ impl Server {
         let sess = stripe
             .get_mut(&session)
             .ok_or(SessionError::UnknownSession(session))?;
-        let index = self.core.index();
-        let data = self.core.data();
-        // The session's predicted motion (Eq. 2) feeds the buffer pool's
-        // heat field: the first sub-query window's centre is the client's
-        // position this tick. (No-op on the in-RAM backend; only the
-        // stripe → pager lock edge of DESIGN.md §13 is taken.)
-        if let Some(q) = regions.first() {
-            index.observe_motion(session, q.region.center());
-        }
-        let queries: Vec<(Rect2, ResolutionBand)> =
-            regions.iter().map(|q| (q.region, q.band)).collect();
-        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
-        let accesses = index.for_each_batch(&queries, |w, id| hits[w].push(id));
-        let mut result = QueryResult::default();
-        for window_hits in &hits {
-            apply_hits(sess, data, index, window_hits, &mut result);
-        }
-        result.io = accesses.logical_total();
-        Ok(result)
-    }
-
-    /// Executes every session's sub-queries as **one** cross-session group
-    /// descent: the windows of all sessions in `batch` descend the index
-    /// together, so a tree node needed by several sessions is read once
-    /// physically. Returns the per-session results in caller order plus
-    /// the number of unique physical node visits the merged descent
-    /// performed (the shared-visit metric).
-    ///
-    /// Each per-session [`QueryResult`] — coefficients, bytes, *and* its
-    /// logical `io` count — is bit-identical to what a separate
-    /// [`Server::query`] call would have produced: per-window visit order
-    /// equals the scalar search order, windows replay through the session
-    /// filter in sub-query order, and logical accesses are counted per
-    /// window regardless of physical sharing.
-    ///
-    /// Locking: session stripes are taken one at a time (existence check
-    /// up front, filter application afterwards), never nested with each
-    /// other or held across the index descent. A session that disconnects
-    /// between the two lock windows surfaces as
-    /// [`SessionError::UnknownSession`], the same answer a scalar call in
-    /// that race would give.
-    pub fn query_batch(
-        &self,
-        batch: &[(u64, &[QueryRegion])],
-    ) -> (Vec<Result<QueryResult, SessionError>>, u64) {
-        // Admission: one stripe lock at a time, released before the walk.
-        let known: Vec<bool> = batch
-            .iter()
-            .map(|&(session, _)| {
-                self.stripe(session)
-                    .lock()
-                    // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                    .expect("session stripe poisoned")
-                    .contains_key(&session)
-            })
-            .collect();
-        // Feed each admitted session's window centre into the pool's heat
-        // field before the descent reads any pages (no locks held here).
-        for (s, &(session, regions)) in batch.iter().enumerate() {
-            if known[s] {
-                if let Some(q) = regions.first() {
-                    self.core.index().observe_motion(session, q.region.center());
-                }
-            }
-        }
-        // One lock-free grouped descent over every admitted session's
-        // windows; `ranges[s]` is session slot s's window span.
-        let mut queries: Vec<(Rect2, ResolutionBand)> = Vec::new();
-        let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(batch.len());
-        for (s, &(_, regions)) in batch.iter().enumerate() {
-            let start = queries.len();
-            if known[s] {
-                queries.extend(regions.iter().map(|q| (q.region, q.band)));
-            }
-            ranges.push((start, queries.len()));
-        }
-        let mut hits: Vec<Vec<CoeffRef>> = vec![Vec::new(); queries.len()];
-        let accesses = self
-            .core
-            .index()
-            .for_each_batch(&queries, |w, id| hits[w].push(id));
-        // Demultiplex: apply each session's filter in caller order.
-        let data = self.core.data();
-        let index = self.core.index();
-        let mut out = Vec::with_capacity(batch.len());
-        for (s, &(session, _)) in batch.iter().enumerate() {
-            if !known[s] {
-                out.push(Err(SessionError::UnknownSession(session)));
-                continue;
-            }
-            let (start, end) = ranges[s];
-            let mut stripe = self
-                .stripe(session)
-                .lock()
-                // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-                .expect("session stripe poisoned");
-            let Some(sess) = stripe.get_mut(&session) else {
-                // Disconnected between admission and apply.
-                out.push(Err(SessionError::UnknownSession(session)));
-                continue;
-            };
-            let mut result = QueryResult::default();
-            for (h, &io) in hits[start..end]
-                .iter()
-                .zip(&accesses.per_window[start..end])
-            {
-                apply_hits(sess, data, index, h, &mut result);
-                result.io += io;
-            }
-            out.push(Ok(result));
-        }
-        (out, accesses.unique)
-    }
-
-    /// A stateless query (no session filtering): the raw index answer.
-    pub fn query_stateless(&self, region: &Rect2, band: ResolutionBand) -> (Vec<CoeffRef>, u64) {
-        self.core.query_stateless(region, band)
-    }
-
-    /// Payload bytes of one block-granularity fetch: every coefficient
-    /// whose support intersects `block` within `band`, plus base meshes
-    /// the session has not yet received. Used by the buffered clients.
-    /// Unknown sessions surface as a typed [`SessionError`], like
-    /// [`Server::query`].
-    pub fn fetch_block(
-        &self,
-        session: u64,
-        block: &Rect2,
-        band: ResolutionBand,
-    ) -> Result<QueryResult, SessionError> {
-        self.query(
-            session,
-            &[QueryRegion {
-                region: *block,
-                band,
-            }],
-        )
-    }
-
-    /// Stateless byte size of a block at a band (planning/estimation).
-    pub fn block_bytes_stateless(&self, block: &Rect2, band: ResolutionBand) -> (f64, u64) {
-        self.core.block_bytes_stateless(block, band)
+        Ok(f(sess))
     }
 
     /// A sorted snapshot of every coefficient the session has been sent —
@@ -706,16 +740,6 @@ impl Server {
         let mut refs: Vec<CoeffRef> = sess.sent.iter().copied().collect();
         refs.sort_unstable();
         Ok(refs)
-    }
-
-    /// How many coefficients a session has been sent.
-    pub fn session_sent(&self, session: u64) -> usize {
-        let stripe = self
-            .stripe(session)
-            .lock()
-            // mar-lint: allow(D004) — poisoning implies another client thread panicked; propagate
-            .expect("session stripe poisoned");
-        stripe.get(&session).map(|s| s.sent.len()).unwrap_or(0)
     }
 
     /// Number of currently connected sessions, across all stripes.
@@ -911,9 +935,9 @@ mod tests {
         let s = server();
         let c = s.connect();
         s.query(c, &[whole()]).unwrap();
-        assert!(s.session_sent(c) > 0);
+        assert!(!s.session_sent_set(c).unwrap().is_empty());
         s.disconnect(c).unwrap();
-        assert_eq!(s.session_sent(c), 0);
+        assert_eq!(s.session_sent_set(c), Err(SessionError::UnknownSession(c)));
     }
 
     #[test]
@@ -1026,6 +1050,38 @@ mod tests {
         assert_eq!(s.resume(ta).unwrap().session, a);
         assert_eq!(s.resume(tb).unwrap().session, b);
         assert_ne!(ta, tb);
+    }
+
+    #[test]
+    fn fleet_sessions_resume_by_token() {
+        // The fleet is this session layer over a shard set, so its
+        // sessions resume exactly like an unsharded server's.
+        let mut cfg = SceneConfig::paper(5, 21);
+        cfg.levels = 3;
+        cfg.target_bytes = 1_000_000.0;
+        let scene = Scene::generate(cfg);
+        let space = scene.config.space;
+        let data = Arc::new(SceneIndexData::build(&scene));
+        let fleet = crate::FleetServer::build(&data, space, &crate::FleetConfig::ram(2, 2, false))
+            .expect("fleet builds");
+        let up = crate::FleetHealth::all_up();
+        let (c, token) = fleet.connect_with_token();
+        let r = fleet.query(c, up, &space, ResolutionBand::FULL).unwrap();
+        assert!(r.result.coeffs > 0);
+        let info = fleet.resume(token).unwrap();
+        assert_eq!(info.session, c);
+        assert_eq!(info.retained_coeffs, r.result.coeffs);
+        assert_eq!(info.retained_objects, r.result.new_objects);
+        let again = fleet.query(c, up, &space, ResolutionBand::FULL).unwrap();
+        assert_eq!(again.result.coeffs, 0, "resume must not cause re-sends");
+        assert_eq!(
+            fleet.resume(c),
+            Err(SessionError::UnknownToken(c)),
+            "a raw session id must not act as a resume token"
+        );
+        fleet.disconnect(c).unwrap();
+        assert_eq!(fleet.resume(token), Err(SessionError::UnknownToken(token)));
+        assert_eq!(fleet.resident_filter_entries(), 0);
     }
 
     fn small_core() -> ServerCore {

@@ -178,7 +178,10 @@ fn concurrent_resume_and_query_agree_with_serial() {
                                 .expect("session is live");
                             let info = srv.resume(token).expect("session is live");
                             assert_eq!(info.session, client.session());
-                            assert_eq!(info.retained_coeffs, srv.session_sent(client.session()));
+                            let sent = srv
+                                .session_sent_set(client.session())
+                                .expect("session is live");
+                            assert_eq!(info.retained_coeffs, sent.len());
                             r
                         })
                         .collect()

@@ -34,7 +34,6 @@ mod bulk;
 mod counters;
 mod delete;
 mod insert;
-mod knn;
 mod node;
 mod pages;
 mod query;
@@ -42,8 +41,8 @@ mod stats;
 
 pub use counters::{IoCounters, IoKind, IoSnapshot};
 pub use node::Entry;
-pub use pages::{NodePage, PageExport, PagedNodeKind};
-pub use query::BatchAccesses;
+pub use pages::{NodePage, PageExport, PageTree, PagedNodeKind};
+pub use query::{BatchAccesses, NodeView, TreeView};
 pub use stats::{LevelStats, TreeStats};
 
 use mar_geom::Rect;

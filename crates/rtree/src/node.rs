@@ -212,7 +212,7 @@ impl<const N: usize> Lanes<N> {
     /// stride onto a monomorphized constant-stride sweep, so the hot
     /// kernel always runs with compile-time trip counts and offsets.
     #[inline(always)]
-    pub(crate) fn sweep(&self, window: &Rect<N>) -> u64 {
+    fn sweep(&self, window: &Rect<N>) -> u64 {
         match self.cap {
             0 => 0,
             8 => self.sweep_const::<8>(window),
@@ -325,7 +325,7 @@ impl<const N: usize> Lanes<N> {
     /// swept axes, so bits at and past `len` stay zero. Two thirds of
     /// the compares and lane traffic of the full sweep.
     #[inline(always)]
-    pub(crate) fn sweep_front(&self, window: &Rect<N>) -> u64 {
+    fn sweep_front(&self, window: &Rect<N>) -> u64 {
         match self.cap {
             0 => 0,
             8 => self.sweep_front_const::<8>(window),
@@ -337,6 +337,18 @@ impl<const N: usize> Lanes<N> {
             56 => self.sweep_front_const::<56>(window),
             64 => self.sweep_front_const::<64>(window),
             other => unreachable!("stride {other} is not a chunk multiple ≤ 64"),
+        }
+    }
+
+    /// [`Lanes::match_bits`] over the first two axes only (see
+    /// [`Lanes::sweep_front`]); nodes wider than one 64-bit sweep fall
+    /// back to the full test, which is always exact.
+    #[inline(always)]
+    pub fn match_bits_front(&self, window: &Rect<N>, start: usize) -> (u64, usize) {
+        if self.cap <= 64 {
+            (self.sweep_front(window), self.len - start)
+        } else {
+            self.match_bits(window, start)
         }
     }
 
@@ -379,24 +391,6 @@ impl<const N: usize> Lanes<N> {
             m |= u32::from(ok) << k;
         }
         m
-    }
-
-    /// Number of entries intersecting `window`: a pure lane reduction
-    /// with no per-entry control flow and no per-hit work, so counting
-    /// queries never materialise rectangles at all.
-    #[inline(always)]
-    pub fn count_matches(&self, window: &Rect<N>) -> usize {
-        if self.cap <= 64 {
-            return self.sweep(window).count_ones() as usize;
-        }
-        let mut cnt = 0usize;
-        let mut start = 0;
-        while start < self.len {
-            let (mask, n) = self.match_bits(window, start);
-            cnt += mask.count_ones() as usize;
-            start += n;
-        }
-        cnt
     }
 }
 
@@ -445,6 +439,11 @@ impl<const N: usize, T> LeafNode<N, T> {
     #[inline]
     pub fn item(&self, i: usize) -> &T {
         &self.items[i]
+    }
+
+    #[inline]
+    pub fn items(&self) -> &[T] {
+        &self.items
     }
 
     /// Order-preserving removal, mirroring `Vec::remove`.

@@ -5,7 +5,9 @@
 //! root (**page 0**), so internal entries reference children by page id
 //! rather than arena slot. The images slot directly into `mar-store`'s
 //! fixed-size page file; [`NodePage`] is the zero-copy decoder the paged
-//! descent reads them back through.
+//! backend reads them back through. `NodePage` implements [`NodeView`],
+//! so the shared descent kernels of [`crate::TreeView`] walk page images
+//! exactly as they walk the arena.
 //!
 //! Page payload layout (all integers little-endian):
 //!
@@ -23,7 +25,7 @@
 //! `8 + 20·48 + 20·8 = 1128` bytes — comfortably inside one page.
 
 use crate::node::NodeKind;
-use crate::RTree;
+use crate::{IoCounters, NodeView, RTree, TreeView};
 use mar_geom::{Point, Rect};
 use std::collections::VecDeque;
 
@@ -236,6 +238,76 @@ impl<'a, const N: usize> NodePage<'a, N> {
     }
 }
 
+impl<const N: usize> NodeView<N> for NodePage<'_, N> {
+    fn is_leaf(&self) -> bool {
+        self.kind == PagedNodeKind::Leaf
+    }
+
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    fn rect(&self, i: usize) -> Rect<N> {
+        NodePage::rect(self, i)
+    }
+
+    fn child(&self, i: usize) -> u32 {
+        NodePage::child(self, i)
+    }
+}
+
+impl<const N: usize> PageExport<N> {
+    /// The exported images as an in-memory [`TreeView`] (page 0 is the
+    /// root), with leaf items decoded by `decode` from their
+    /// `item_size`-byte encodings. This is how an export is checked
+    /// against the arena it came from: the same kernels walk both.
+    pub fn tree<I>(&self, item_size: usize, decode: fn(&[u8]) -> I) -> PageTree<'_, N, I> {
+        PageTree {
+            pages: &self.pages,
+            item_size,
+            decode,
+            io: IoCounters::new(),
+        }
+    }
+}
+
+/// Exported page images walked in memory; see [`PageExport::tree`].
+#[derive(Debug)]
+pub struct PageTree<'a, const N: usize, I> {
+    pages: &'a [Vec<u8>],
+    item_size: usize,
+    decode: fn(&[u8]) -> I,
+    io: IoCounters,
+}
+
+impl<const N: usize, I> TreeView<N> for PageTree<'_, N, I> {
+    type Item = I;
+    type Node<'n>
+        = NodePage<'n, N>
+    where
+        Self: 'n;
+
+    fn root(&self) -> u32 {
+        0
+    }
+
+    /// Panics on a malformed image: exports are well-formed by
+    /// construction.
+    fn with_node<R>(&self, id: u32, f: impl FnOnce(&NodePage<'_, N>) -> R) -> R {
+        let page = NodePage::parse(&self.pages[id as usize], self.item_size);
+        // mar-lint: allow(D004) — `export_pages` only writes well-formed images
+        f(&page.expect("malformed exported page"))
+    }
+
+    fn item(&self, node: &NodePage<'_, N>, i: usize) -> I {
+        (self.decode)(node.item_bytes(i))
+    }
+
+    fn io(&self) -> &IoCounters {
+        &self.io
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,35 +332,6 @@ mod tests {
         t.export_pages(4, |item, buf| buf.extend_from_slice(&item.to_le_bytes()))
     }
 
-    /// Scalar descent over decoded pages, mirroring `RTree::search`.
-    fn paged_search(pages: &[Vec<u8>], window: &Rect2) -> (Vec<u32>, u64) {
-        let mut hits = Vec::new();
-        let mut accesses = 0u64;
-        let mut stack = vec![0u32];
-        while let Some(id) = stack.pop() {
-            accesses += 1;
-            let page = NodePage::<2>::parse(&pages[id as usize], 4).expect("valid page");
-            match page.kind() {
-                PagedNodeKind::Leaf => {
-                    for i in 0..page.len() {
-                        if page.rect(i).intersects(window) {
-                            let b = page.item_bytes(i);
-                            hits.push(u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
-                        }
-                    }
-                }
-                PagedNodeKind::Internal => {
-                    for i in 0..page.len() {
-                        if page.rect(i).intersects(window) {
-                            stack.push(page.child(i));
-                        }
-                    }
-                }
-            }
-        }
-        (hits, accesses)
-    }
-
     #[test]
     fn root_is_page_zero_and_count_matches() {
         let t = build(300);
@@ -305,6 +348,7 @@ mod tests {
     fn paged_search_matches_in_ram_search() {
         let t = build(500);
         let ex = export(&t);
+        let pages = ex.tree(4, |b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]));
         for window in [
             Rect2::new(Point2::new([2.0, 3.0]), Point2::new([9.0, 11.0])),
             Rect2::point(Point2::new([4.0, 9.0])),
@@ -313,11 +357,11 @@ mod tests {
         ] {
             let mut ram: Vec<u32> = Vec::new();
             let io = t.search(&window, |_, &item| ram.push(item));
-            let (mut paged, accesses) = paged_search(&ex.pages, &window);
-            ram.sort_unstable();
-            paged.sort_unstable();
-            assert_eq!(paged, ram, "hit set for {window:?}");
+            let mut paged: Vec<u32> = Vec::new();
+            let accesses = pages.search(&window, |_, item| paged.push(item));
+            assert_eq!(paged, ram, "hit order for {window:?}");
             assert_eq!(accesses, io, "node accesses for {window:?}");
+            assert_eq!(pages.count_in(&window), (ram.len(), io));
         }
     }
 

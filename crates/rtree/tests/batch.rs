@@ -4,10 +4,11 @@
 //! any tree, including trees churned through inserts, deletes, and
 //! forced reinsertions. The only thing batching may change is the number
 //! of *unique physical* node visits, which must never exceed the logical
-//! total.
+//! total. Every tree is also exported to page images, and the same
+//! kernels walking those pages must reproduce the arena walk exactly.
 
 use mar_geom::{Point2, Rect2};
-use mar_rtree::{RTree, RTreeConfig, Variant};
+use mar_rtree::{RTree, RTreeConfig, TreeView, Variant};
 use proptest::prelude::*;
 
 fn rect(x: f64, y: f64, w: f64, h: f64) -> Rect2 {
@@ -43,6 +44,21 @@ fn assert_batch_equals_scalar(tree: &RTree<2, u64>, windows: &[Rect2]) {
     // The tree's cumulative io counter advances by the logical total, so
     // existing I/O accounting cannot observe whether batching happened.
     assert_eq!(tree.io_count() - io_before, acc.logical_total());
+    // The page view of the same tree: identical hits, order and counts.
+    let export = tree.export_pages(8, |t, buf| buf.extend_from_slice(&t.to_le_bytes()));
+    let pages = export.tree(8, |b| {
+        u64::from_le_bytes(b.try_into().expect("8-byte items"))
+    });
+    for (w, window) in windows.iter().enumerate() {
+        let mut hits = Vec::new();
+        let io = pages.search(window, |_, t| hits.push(t));
+        assert_eq!(hits, scalar_hits[w], "page hit stream diverges");
+        assert_eq!(io, scalar_io[w], "page access count diverges");
+    }
+    let mut page_hits: Vec<Vec<u64>> = vec![Vec::new(); windows.len()];
+    let page_acc = pages.search_batch(windows, |w, _, t| page_hits[w].push(t));
+    assert_eq!(page_hits, batch_hits, "page batch hit streams diverge");
+    assert_eq!(page_acc, acc, "page batch logical/unique accesses diverge");
 }
 
 proptest! {

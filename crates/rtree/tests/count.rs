@@ -1,13 +1,15 @@
 //! Property-based equivalence for the counting fast path: `count_in`
 //! must report exactly the hit count and node-access count the scalar
 //! `search` path produces, on any tree and any window. This pins down
-//! the three specialised walks — the two-axis elision kernel (windows
-//! that span the tree's full extent on the lifted axis), the bounded
-//! local-stack walk, and the chunked fallback for nodes wider than one
-//! 64-bit mask — against the reference traversal.
+//! the counting walk's two node tests — the two-axis elision kernel
+//! (windows that span the tree's full extent on the lifted axis) and the
+//! chunked fallback for nodes wider than one 64-bit mask — against the
+//! reference traversal. Each tree is also
+//! exported to page images, and the same kernels walking those pages must
+//! report the arena's hits, order and counts.
 
 use mar_geom::{Point2, Point3, Rect2, Rect3};
-use mar_rtree::{RTree, RTreeConfig, Variant};
+use mar_rtree::{RTree, RTreeConfig, TreeView, Variant};
 use proptest::prelude::*;
 
 fn rect2(x: f64, y: f64, w: f64, h: f64) -> Rect2 {
@@ -19,16 +21,25 @@ fn rect3(x: f64, y: f64, z: f64, w: f64, h: f64, d: f64) -> Rect3 {
 }
 
 /// `count_in` must agree with the scalar search on hits, accesses, and
-/// the cumulative io counter.
+/// the cumulative io counter — on the arena and on its page images.
 fn assert_count_equals_search<const N: usize>(tree: &RTree<N, u64>, windows: &[Rect<N>]) {
+    let export = tree.export_pages(8, |t, buf| buf.extend_from_slice(&t.to_le_bytes()));
+    let pages = export.tree(8, |b| {
+        u64::from_le_bytes(b.try_into().expect("8-byte items"))
+    });
     for w in windows {
-        let mut hits = 0usize;
-        let io = tree.search(w, |_, _| hits += 1);
+        let mut hits = Vec::new();
+        let io = tree.search(w, |_, &t| hits.push(t));
         let before = tree.io_count();
         let (count, accesses) = tree.count_in(w);
-        assert_eq!(count, hits, "hit count diverges");
+        assert_eq!(count, hits.len(), "hit count diverges");
         assert_eq!(accesses, io, "access count diverges");
         assert_eq!(tree.io_count() - before, accesses, "io counter diverges");
+        let mut page_hits = Vec::new();
+        let page_io = pages.search(w, |_, t| page_hits.push(t));
+        assert_eq!(page_hits, hits, "page hit order diverges");
+        assert_eq!(page_io, io, "page access count diverges");
+        assert_eq!(pages.count_in(w), (hits.len(), io), "page count diverges");
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end integration: scene generation → server → moving client, with
 //! full-pipeline determinism and conservation checks.
 
-use mar_core::{IncrementalClient, LinearSpeedMap, Server};
+use mar_core::{IncrementalClient, LinearSpeedMap, Server, SessionError};
 use mar_workload::{frame_at, paper_space, tram_tour, Placement, Scene, SceneConfig, TourConfig};
 
 fn scene(objects: usize, seed: u64) -> Scene {
@@ -182,6 +182,10 @@ fn disconnect_frees_session_state_under_churn() {
         server
             .disconnect(session)
             .expect("session was connected above");
-        assert_eq!(server.session_sent(session), 0);
+        assert_eq!(
+            server.session_sent_set(session),
+            Err(SessionError::UnknownSession(session)),
+            "a disconnected session has no filter left"
+        );
     }
 }
